@@ -10,15 +10,17 @@ The optimizer is a derivative-free simplex search multi-started over a
 small lattice of deformation values, with sigma optimized in log
 parameterization; the analytic score equations are kept as a verification
 oracle (score_gradient), not as the solver.  The tables are
-simple-hypothesis tables: replicas are drawn from and tested against the
-same fully specified distribution, so refitting before testing (which
-shifts the null) is deliberately not done.
+simple-hypothesis tables (no refitting before testing, which would shift
+the null).  There F(X) is Uniform(0, 1), the probability integral
+transform, so the statistic is distribution-free: replicas are simulated
+as sorted uniforms, and a table's parameters are metadata only.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -29,8 +31,9 @@ from scipy import optimize, special
 from . import dist
 from .dist import QParams, MixtureParams
 from .errors import DataError, DomainError
+# q_exp is unused here but kept importable: tracers patch infer.q_exp
 from .qalgebra import Q_CLASSICAL_EPS, q_exp
-from .sample import RngStream, _mapped_uniform_to_y
+from .sample import RngStream
 
 __all__ = [
     "MODELS",
@@ -76,16 +79,17 @@ def _as_positive_data(data) -> np.ndarray:
     return arr
 
 
-def _effective_workers(requested=None) -> int:
-    cap = os.environ.get("QLOGNORM_THREADS")
+def _effective_workers(requested=None, njobs=None) -> int:
+    # min(requested, usable CPUs, njobs), lowered by QLOGNORM_THREADS
     try:
-        cap = int(cap) if cap else None
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    try:
+        cap = int(os.environ.get("QLOGNORM_THREADS") or cpus)
     except ValueError:
-        cap = None
-    workers = requested or os.cpu_count() or 1
-    if cap is not None:
-        workers = min(workers, max(1, cap))
-    return max(1, int(workers))
+        cap = cpus
+    return max(1, min(int(requested or cpus), cpus, int(njobs or cpus), cap))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +433,9 @@ class KSTable:
     """Monte Carlo quantiles of the KS statistic for a fully specified
     one-sided law; rows map sample size to the per-level quantiles, plus
     per-level coefficients c for the large-n regime c n^(-1/2), fitted
-    from pooled simulations at n in {200, 500, 1000}."""
+    from pooled simulations at n in {200, 500, 1000}.  q, mu and sigma are
+    metadata only: the statistic is distribution-free, so no cell depends
+    on them."""
 
     q: float
     mu: float
@@ -464,39 +470,27 @@ class KSTable:
         version = int(lines[0].split("v")[-1])
         if version != TABLE_FORMAT_VERSION:
             raise DataError(f"unsupported ks-table version {version}")
-        meta = {}
-        body_start = 0
-        for i, ln in enumerate(lines[1:], start=1):
-            if ln.startswith("#"):
-                for tok in ln[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
-            else:
-                body_start = i
-                break
+        body_start = next((i for i, ln in enumerate(lines) if ln[0] != "#"), 0)
+        meta = dict(
+            tok.split("=", 1) for ln in lines[1:body_start] for tok in ln[1:].split()
+            if "=" in tok
+        )
         header = lines[body_start].split("\t")
         levels = tuple(float(t) for t in header[1:])
-        rows = {}
-        ns = []
-        coeffs = None
+        cells = {}
         for ln in lines[body_start + 1:]:
-            parts = ln.split("\t")
-            vals = tuple(float(t) for t in parts[1:])
-            if parts[0] == "asymptotic":
-                coeffs = vals
-            else:
-                n = int(parts[0])
-                ns.append(n)
-                rows[n] = vals
+            key, *vals = ln.split("\t")
+            cells[key] = tuple(float(t) for t in vals)
+        coeffs = cells.pop("asymptotic", None)
         if coeffs is None:
             raise DataError("ks-table missing its asymptotic row")
+        rows = {int(k): v for k, v in cells.items()}
         return cls(
             q=float(meta["q"]),
             mu=float(meta["mu"]),
             sigma=float(meta["sigma"]),
             levels=levels,
-            ns=tuple(ns),
+            ns=tuple(rows),
             rows=rows,
             asymptotic_coeffs=coeffs,
             replicas=int(meta["replicas"]),
@@ -504,21 +498,27 @@ class KSTable:
         )
 
 
-def _ks_statistic_rows(f_sorted: np.ndarray) -> np.ndarray:
+def _ks_statistic_rows(f_sorted: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # f_sorted is overwritten; out, if given, is scratch of its shape
     n = f_sorted.shape[1]
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return np.maximum((hi - f_sorted).max(axis=1), (f_sorted - lo).max(axis=1))
+    hi = np.subtract(np.arange(1, n + 1) / n, f_sorted, out=out)
+    f_sorted -= np.arange(0, n) / n
+    return np.maximum(hi.max(axis=1), f_sorted.max(axis=1))
 
 
-def _simulate_d(params: QParams, n: int, rows: int, rng: RngStream) -> np.ndarray:
-    tn = dist.truncnorm_from_q(params)
-    u = rng.uniform(rows * n).reshape(rows, n)
-    y = _mapped_uniform_to_y(u, tn)
-    x = q_exp(y, params.q)
-    f = np.asarray(dist.cdf(x, params))
-    f.sort(axis=1)
-    return _ks_statistic_rows(f)
+# each pool thread's two block buffers; fresh 1 MB arrays are re-faulted by the
+# allocator, 2-8e4 page faults per 10^4-replica table, varying by process
+_scratch = threading.local()
+
+
+def _simulate_d(n: int, rows: int, rng: RngStream) -> np.ndarray:
+    # under the null F(X) ~ U(0, 1): sorted uniforms are a replica's F(x_(i))
+    size = rows * n
+    if getattr(_scratch, "u", np.empty(0)).size < size:
+        _scratch.u, _scratch.t = np.empty(size), np.empty(size)
+    u = rng.uniform(size, out=_scratch.u[:size]).reshape(rows, n)
+    u.sort(axis=1)
+    return _ks_statistic_rows(u, out=_scratch.t[:size].reshape(rows, n))
 
 
 def _rows_per_block(n: int) -> int:
@@ -538,11 +538,13 @@ def ks_table_generate(
     """Monte Carlo KS quantile table under the simple hypothesis.
 
     Per (n, level): the empirical level-quantile of the statistic over
-    `replicas` independent samples of size n drawn from `params` and tested
-    against its own distribution function.  Work is split into blocks with
-    stream id (n_index << 20) | block_index, so output is identical for any
-    worker count.  replicas below 10^4 are refused: the 0.99 quantile would
-    rest on too few tail order statistics.
+    `replicas` samples of size n tested against their own continuous law:
+    n sorted uniforms against the identity, as F(X) is Uniform(0, 1), so
+    `params` is recorded only.  Blocks use stream id
+    (n_index << 20) | block_index, so output is identical for any worker
+    count; the pool has min(workers, usable CPUs, blocks) threads.
+    replicas below 10^4 are refused (too few tail order statistics for the
+    0.99 quantile), as are replicas needing over 2^20 blocks at some n.
     """
     ns = tuple(int(n) for n in ns)
     levels = tuple(float(v) for v in levels)
@@ -554,6 +556,9 @@ def ks_table_generate(
         raise DomainError("table ns must be >= 1 and asymptotic ns > 100")
     if any(not 0.0 < v < 1.0 for v in levels) or list(levels) != sorted(levels):
         raise DomainError("levels must be increasing and strictly inside (0, 1)")
+    limit = (1 << 20) * _rows_per_block(max(ns + asymptotic_ns, default=1))
+    if replicas > limit:  # block index would spill out of its stream-id field
+        raise DataError(f"at most {limit} replicas fit the stream ids for these ns")
 
     jobs = []
     for idx, n in enumerate(ns + asymptotic_ns):
@@ -566,17 +571,11 @@ def ks_table_generate(
 
     def run(job):
         idx, n, rows, sid = job
-        return idx, _simulate_d(params, n, rows, RngStream(seed, sid))
+        return idx, _simulate_d(n, rows, RngStream(seed, sid))
 
     buckets: dict[int, list[np.ndarray]] = {i: [] for i in range(len(ns + asymptotic_ns))}
-    nworkers = _effective_workers(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            for idx, d in pool.map(run, jobs):
-                buckets[idx].append(d)
-    else:
-        for job in jobs:
-            idx, d = run(job)
+    with ThreadPoolExecutor(max_workers=_effective_workers(workers, len(jobs))) as pool:
+        for idx, d in pool.map(run, jobs):
             buckets[idx].append(d)
 
     rows_out = {}

@@ -60,13 +60,13 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniform(self, n: int) -> np.ndarray:
-        """n draws on the open interval (0, 1)."""
+    def uniform(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n draws on the open interval (0, 1), written into `out` if given."""
         if n < 0:
             raise DomainError("n must be nonnegative")
-        u = self._gen.random(int(n))
-        # the generator's interval is [0, 1); nudge exact zeros inside
-        return np.where(u == 0.0, 2.0**-53, u)
+        u = self._gen.random(int(n), out=out)
+        np.copyto(u, 2.0**-53, where=u == 0.0)  # nudge [0, 1) to (0, 1)
+        return u
 
     def substream(self, stream_id: int) -> "RngStream":
         """A fresh stream with the same seed and a different id."""

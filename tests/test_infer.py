@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qlognorm import (
     QParams,
     RngStream,
     aic,
+    cdf,
     empirical_cdf_rss,
     fit_gamma,
     fit_mle,
@@ -23,9 +25,18 @@ from qlognorm import (
     log_likelihood,
     log_pdf,
     mixture_pdf,
+    q_exp,
     sample_mixture,
     sample_qlognormal,
+    sample_truncnorm,
     score_gradient,
+    truncnorm_from_q,
+)
+from qlognorm.infer import (
+    _effective_workers,
+    _ks_statistic_rows,
+    _rows_per_block,
+    _simulate_d,
 )
 
 
@@ -225,6 +236,65 @@ def test_table_asymptotic_coefficients_near_limit_law():
     # pooled finite-n quantiles approach the limit from slightly below;
     # the 0.99 level is the noisiest at this replica count
     assert np.max(np.abs(np.array(t.asymptotic_coeffs) - lim)) < 0.03
+
+
+def _old_chain_d(params, n, rows, rng):
+    # the distribution path the tables used to take: uniforms mapped to the
+    # law, then pushed back through its cdf before sorting
+    y = sample_truncnorm(truncnorm_from_q(params), rows * n, rng).reshape(rows, n)
+    f = np.asarray(cdf(q_exp(y, params.q), params))
+    f.sort(axis=1)
+    return _ks_statistic_rows(f)
+
+
+@pytest.mark.parametrize("params", [QParams(0.8), QParams(1.25, mu=2.0, sigma=0.3)])
+def test_simulated_statistic_matches_distribution_path(params):
+    for n, rows, sid in ((5, 300, 0), (50, 200, 7), (200, 40, (2 << 20) | 3)):
+        old = _old_chain_d(params, n, rows, RngStream(11, sid))
+        new = _simulate_d(n, rows, RngStream(11, sid))
+        assert new.shape == (rows,)
+        assert np.max(np.abs(new - old)) < 1e-12
+
+
+def test_reused_block_buffers_give_fresh_results():
+    # a thread's block buffers outlive its blocks: a smaller block after a
+    # larger one must see none of the larger one's draws
+    for n, rows in ((5, _rows_per_block(5)), (1000, 7), (1000, _rows_per_block(1000))):
+        u = RngStream(3, n).uniform(rows * n).reshape(rows, n)
+        u.sort(axis=1)
+        assert np.array_equal(_simulate_d(n, rows, RngStream(3, n)), _ks_statistic_rows(u))
+
+
+def test_table_cells_do_not_depend_on_params():
+    kw = dict(ns=(5, 30), replicas=10**4, seed=6)
+    a = ks_table_generate(QParams(0.8), **kw)
+    b = ks_table_generate(QParams(1.25, mu=2.0, sigma=0.3), **kw)
+    assert a.rows == b.rows
+    assert a.asymptotic_coeffs == b.asymptotic_coeffs
+    assert (a.q, b.q, b.mu, b.sigma) == (0.8, 1.25, 2.0, 0.3)
+
+
+def test_worker_count_is_capped(monkeypatch):
+    # the helper only computes a number; no pool is started here
+    monkeypatch.delenv("QLOGNORM_THREADS", raising=False)
+    cpus = os.cpu_count() or 1
+    assert 1 <= _effective_workers(10**6) <= cpus
+    assert _effective_workers(10**6, njobs=1) == 1
+    assert _effective_workers(None, njobs=10**6) <= cpus
+    assert _effective_workers(0) >= 1 and _effective_workers(-3) == 1
+    monkeypatch.setenv("QLOGNORM_THREADS", "1")
+    assert _effective_workers(10**6) == 1
+    monkeypatch.setenv("QLOGNORM_THREADS", "not a number")
+    assert _effective_workers(1) == 1
+
+
+def test_table_refuses_replicas_beyond_stream_ids():
+    # 2*10^6 one-row blocks at n = 10^6 would overflow the 20-bit block field
+    with pytest.raises(DataError):
+        ks_table_generate(QParams(0.8), asymptotic_ns=(10**6,), replicas=2 * 10**6)
+    # at n = 1000, 131 rows per block: the limit is 131 * 2^20 replicas
+    with pytest.raises(DataError):
+        ks_table_generate(QParams(0.8), replicas=131 * 2**20 + 1)
 
 
 # --- p-value brackets ------------------------------------------------------------------
